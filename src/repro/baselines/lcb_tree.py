@@ -8,9 +8,11 @@ flushes the log after every update (one small sequential write per
 operation); weak persistence flushes only filled log pages and on
 ``sync()`` — amortizing many updates per device write.
 
-Implemented as a :class:`SyncTreeAccessor` subclass: identical tree
-algorithms and latch protocol, with the page-persistence layer swapped
-for log-append + delta-table + checkpoint.
+Implemented as a :class:`SyncTreeAccessor` subclass: it runs the same
+PA-Tree operation plans through the same blocking interpreter and latch
+protocol, with the page-persistence layer (``_read_node``,
+``_write_page``, ``_sync``) swapped for log-append + delta-table +
+checkpoint.
 """
 
 from repro.baselines.sync_tree import SyncTreeAccessor
@@ -121,7 +123,7 @@ class LcbTreeAccessor(SyncTreeAccessor):
             self.tree.device.raw_write(page_id, data)
         self._delta.clear()
 
-    def _sync(self, tls, op):
+    def _sync(self, tls):
         """Flush the log tail (weak persistence group commit)."""
         yield SemWait(self._wal_mutex)
         writes, flush_lsn = self.wal.take_flushable(True)
@@ -130,4 +132,4 @@ class LcbTreeAccessor(SyncTreeAccessor):
             yield from self.io.write(tls, lba, image)
         if writes:
             self.wal.mark_durable(flush_lsn)
-        op.result = len(writes)
+        return len(writes)

@@ -1,10 +1,14 @@
 """Multi-threaded baseline runner.
 
 Spawns ``n_threads`` simulated worker threads that pull operations
-from a shared queue and execute them synchronously through an accessor
-(:class:`~repro.baselines.sync_tree.SyncTreeAccessor`, the Blink/LCB
-variants, or the LSM store adapter).  This is the closed-loop shape of
-the paper's baseline evaluation: concurrency equals the thread count.
+from a shared queue and execute them synchronously through an accessor:
+:class:`~repro.baselines.sync_tree.SyncTreeAccessor` (a blocking
+interpreter of PA-Tree's own operation plans, so the shared and
+dedicated baselines run the same tree algorithm as the PA engine), its
+LCB variant (own log-based persistence), the Blink-tree (own
+latch-free-read protocol) or the LSM store adapter.  This is the
+closed-loop shape of the paper's baseline evaluation: concurrency
+equals the thread count.
 
 Collects the same statistics the PA engine reports so experiment
 harnesses can compare the paradigms directly.

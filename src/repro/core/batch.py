@@ -32,6 +32,7 @@ from repro.core.node import Node
 from repro.core.ops import (
     ChargeEff,
     DELETE,
+    FreeEff,
     GET,
     LatchEff,
     PUT,
@@ -192,7 +193,7 @@ def _update_group(tree, specs, order, skeys, pre_put, pre_del, pos, results):
         leaf.values = merged_values
         dirty[leaf.page_id] = leaf
         if leaf.count < leaf.min_keys:
-            write_meta = yield from _rebalance(tree, path_nodes, leaf, dirty)
+            write_meta = yield from rebalance(tree, path_nodes, leaf, dirty)
     else:
         write_meta = _multi_split(
             tree, path_nodes, leaf, merged_keys, merged_values, new_nodes, dirty
@@ -383,8 +384,14 @@ def _grow_root(tree, old_root, seps, new_nodes):
     return True
 
 
-def _rebalance(tree, path_nodes, leaf, dirty):
-    """Right-sibling merge/borrow, same protocol as the single delete."""
+def rebalance(tree, path_nodes, leaf, dirty):
+    """Fix an underfull ``leaf`` by right-sibling merge/borrow up the
+    retained path, then shrink a root that decayed to a single child.
+
+    Shared by the single-op delete plan and the batch plan.  Adds every
+    modified node to ``dirty``, frees merged-away pages with
+    ``FreeEff`` and returns whether the meta page must be written.
+    """
     costs = tree.costs
     write_meta = False
     index = len(path_nodes) - 1
@@ -405,13 +412,14 @@ def _rebalance(tree, path_nodes, leaf, dirty):
             current.merge_from_right(right, separator)
             parent.inner_remove_child(child_index + 1)
             yield UnlatchEff(right_id)
-            tree.release_page(right_id)
+            yield FreeEff(right_id)
             dirty.pop(right_id, None)
             dirty[current.page_id] = current
             dirty[parent.page_id] = parent
             current = parent
             index -= 1
         else:
+            # move enough entries to balance the two siblings
             moves = max(1, (right.count - current.count) // 2)
             new_separator = separator
             for _ in range(moves):
@@ -423,6 +431,7 @@ def _rebalance(tree, path_nodes, leaf, dirty):
             yield UnlatchEff(right_id)
             break
 
+    # Shrink the root when it decayed to a single child.
     root = (
         path_nodes[1]
         if path_nodes[0] is None and len(path_nodes) > 1
@@ -438,5 +447,5 @@ def _rebalance(tree, path_nodes, leaf, dirty):
         tree.meta.height -= 1
         write_meta = True
         dirty.pop(root.page_id, None)
-        tree.release_page(root.page_id)
+        yield FreeEff(root.page_id)
     return write_meta

@@ -3,7 +3,8 @@
 Each index operation is decomposed into a finite sequence of
 transitions.  We express the transition graph as a Python generator
 that yields *effects* — latch requests, page reads, page writes, CPU
-charges — to the working-thread engine.  Between effects the operation
+charges, page allocations — to the working-thread engine (or, in the
+baselines, to a blocking interpreter).  Between effects the operation
 is in a ready state; an effect that cannot complete immediately parks
 the operation in a waiting state:
 
@@ -132,6 +133,21 @@ class SyncEff(Effect):
     """Flush all buffered dirty pages; resumes when durable."""
 
     __slots__ = ()
+
+
+class AllocEff(Effect):
+    """Allocate a fresh page; resumes with its page id."""
+
+    __slots__ = ()
+
+
+class FreeEff(Effect):
+    """Return ``page_id`` to the allocator and drop any cached copy."""
+
+    __slots__ = ("page_id",)
+
+    def __init__(self, page_id):
+        self.page_id = page_id
 
 
 class Operation:

@@ -3,8 +3,9 @@ primitive (point search, range search, insert, update, delete, sync).
 
 Concurrency protocol (paper §III-B, latch coupling [3]):
 
-* The meta page (page 0, holding the root pointer) acts as the topmost
-  latchable node, so root splits are safe against concurrent descents.
+* The meta page (``tree.meta_page``, holding the root pointer) acts as
+  the topmost latchable node, so root splits are safe against
+  concurrent descents.
 * Searches couple shared latches parent -> child, releasing the parent
   as soon as the child latch is granted.
 * Inserts and deletes couple exclusive latches and release all
@@ -20,12 +21,19 @@ the exclusively latched parent, preserving a global left-to-right latch
 order (no deadlock against range scans walking the leaf chain).  A
 rightmost child with no right sibling is allowed to stay underfull —
 the same lazy-deletion trade-off PostgreSQL makes.
+
+Plans are paradigm-neutral: every latch, page read/write, CPU charge,
+page allocation/free and sync is a yielded effect.  The polled-mode
+engine (:mod:`repro.core.engine`) and the blocking baseline accessor
+(:mod:`repro.baselines.sync_tree`) are two interpreters of the same
+plans.
 """
 
-from repro.core.batch import batch_plan
+from repro.core.batch import batch_plan, rebalance
 from repro.core.latch import EXCLUSIVE, SHARED
 from repro.core.node import NO_PAGE, Node
 from repro.core.ops import (
+    AllocEff,
     BATCH,
     ChargeEff,
     DELETE,
@@ -134,7 +142,7 @@ def _descend_exclusive(op, tree, safe_test):
     """Shared descent logic for insert/delete: exclusive latch coupling.
 
     Yields effects; returns ``(path_ids, path_nodes)`` where index 0 is
-    the topmost retained latch (META_PAGE with node ``None`` when the
+    the topmost retained latch (the meta page with node ``None`` when the
     root itself is unsafe) and the last entry is the leaf.
     """
     meta_page = tree.meta_page
@@ -183,7 +191,7 @@ def _insert_plan(op, tree):
     write_meta = False
 
     yield ChargeEff(costs.split_ns, CPU_REAL_WORK)
-    right_id = tree.allocator.allocate()
+    right_id = yield AllocEff()
     right, separator = leaf.split(right_id)
     if op.key >= separator:
         right.leaf_insert(op.key, op.payload)
@@ -200,7 +208,7 @@ def _insert_plan(op, tree):
         if parent is None:
             # The split reached the root: grow the tree by one level.
             old_root = path_nodes[index + 1]
-            new_root_id = tree.allocator.allocate()
+            new_root_id = yield AllocEff()
             new_root = Node.new_inner(tree.config, new_root_id, old_root.level + 1)
             new_root.keys = [separator]
             new_root.children = [old_root.page_id, right_id]
@@ -214,7 +222,7 @@ def _insert_plan(op, tree):
             dirty[parent.page_id] = parent
             break
         yield ChargeEff(costs.split_ns, CPU_REAL_WORK)
-        parent_right_id = tree.allocator.allocate()
+        parent_right_id = yield AllocEff()
         parent_right, parent_sep = parent.split(parent_right_id)
         if separator > parent_sep:
             parent_right.inner_insert(separator, right_id)
@@ -275,58 +283,7 @@ def _delete_plan(op, tree):
     tree.meta.key_count -= 1
 
     dirty = {leaf.page_id: leaf}
-    write_meta = False
-    index = len(path_nodes) - 1
-    current = leaf
-    while current.count < current.min_keys:
-        parent = path_nodes[index - 1] if index >= 1 else None
-        if parent is None:
-            break  # current is the root (or the retained top): tolerate
-        child_index = parent.children.index(current.page_id)
-        if child_index == parent.count:
-            break  # rightmost child: tolerate underflow (lazy deletion)
-        right_id = parent.children[child_index + 1]
-        yield LatchEff(right_id, EXCLUSIVE)
-        right = yield ReadEff(right_id)
-        separator = parent.keys[child_index]
-        yield ChargeEff(costs.merge_ns, CPU_REAL_WORK)
-        if current.can_merge_with(right):
-            current.merge_from_right(right, separator)
-            parent.inner_remove_child(child_index + 1)
-            yield UnlatchEff(right_id)
-            tree.release_page(right_id)
-            dirty.pop(right_id, None)
-            dirty[current.page_id] = current
-            dirty[parent.page_id] = parent
-            current = parent
-            index -= 1
-        else:
-            # move enough entries to balance the two siblings
-            moves = max(1, (right.count - current.count) // 2)
-            new_separator = separator
-            for _ in range(moves):
-                new_separator = current.borrow_from_right(right, new_separator)
-            parent.keys[child_index] = new_separator
-            dirty[current.page_id] = current
-            dirty[right_id] = right
-            dirty[parent.page_id] = parent
-            yield UnlatchEff(right_id)
-            break
-
-    # Shrink the root when it decayed to a single child.
-    root = path_nodes[1] if path_nodes and path_nodes[0] is None and len(path_nodes) > 1 else None
-    if (
-        root is not None
-        and not root.is_leaf
-        and root.count == 0
-        and tree.meta.root_page == root.page_id
-    ):
-        tree.meta.root_page = root.children[0]
-        tree.meta.height -= 1
-        write_meta = True
-        dirty.pop(root.page_id, None)
-        tree.release_page(root.page_id)
-
+    write_meta = yield from rebalance(tree, path_nodes, leaf, dirty)
     yield WriteEff(list(dirty.values()), write_meta=write_meta)
     for page_id in path_ids:
         yield UnlatchEff(page_id)

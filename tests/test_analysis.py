@@ -1,4 +1,4 @@
-"""Tests for patlint (tools.analysis): rules, framework, CLI, shim.
+"""Tests for patlint (tools.analysis): rules, framework and CLI.
 
 Each rule gets inline fixture snippets for the positive, negative and
 suppressed cases; the framework tests cover scoping, suppressions,
@@ -1199,7 +1199,7 @@ def test_select_filters_reported_codes(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# self-checks and the legacy shim
+# self-checks
 # ---------------------------------------------------------------------------
 
 
@@ -1213,30 +1213,6 @@ def test_repository_self_run_is_clean():
     paths = [os.path.join(REPO_ROOT, name) for name in ("src", "tests", "benchmarks")]
     result = analyze(paths)
     assert result.findings == []
-
-
-def test_lint_shim_still_works(tmp_path):
-    bad = tmp_path / "src" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("def f(x):\n    return x.status == 'completed'\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", str(bad)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert "PA302" in proc.stdout
-
-    good = tmp_path / "src" / "good.py"
-    good.write_text("def f(x):\n    return x\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", str(good)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_byte_compile_leaves_no_pycache(tmp_path):

@@ -5,8 +5,7 @@ under a tmp dir, matching the real package prefixes so the committed
 ``layers.toml`` applies), so each rule family gets seeded positive,
 negative and suppressed cases; the satellites cover repo-relative
 finding paths, the SARIF reporter, ``--changed-only``, the phase-1
-cache, Python-3.12-only syntax degradation and the lint shim's
-``--json`` forwarding.
+cache and Python-3.12-only syntax degradation.
 """
 
 import json
@@ -801,29 +800,6 @@ def test_pep695_syntax_degrades_gracefully(tmp_path):
         assert "repro.core.modern" not in result.graph.modules
         # the parseable file is still fully analyzed
         assert "repro.core.plain" in result.graph.modules
-
-
-# ---------------------------------------------------------------------------
-# satellite: shim forwards --json and keeps exit codes
-# ---------------------------------------------------------------------------
-
-
-def test_lint_shim_forwards_json(tmp_path):
-    bad = tmp_path / "src" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("def f(x):\n    return x.status == 'completed'\n")
-    proc = subprocess.run(
-        [sys.executable, "tools/lint.py", "--json", str(bad)],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    document = json.loads(proc.stdout)
-    assert document["tool"] == "patlint"
-    assert document["schema_version"] == 1
-    assert [f["code"] for f in document["findings"]] == ["PA302"]
-    assert "deprecated" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

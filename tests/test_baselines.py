@@ -244,3 +244,33 @@ def test_blink_concurrent_growth_from_empty():
     runner.run_to_completion()
     assert sorted(k for k, _v in tree.iterate_items_raw()) == sorted(keys)
     tree.validate()
+
+
+@pytest.mark.parametrize("accessor_kind", ["sync", "lcb", "blink"])
+def test_root_growth_writes_meta_at_tree_base(accessor_kind):
+    """A tree created at ``base_lba`` keeps its meta page there: growing
+    the root must leave page 0 (another tree's meta) untouched, and a
+    reopen at the same base must see the new height and root."""
+    engine, simos, device, driver, neighbor = make_machine(preload=0)
+    page0 = device.raw_read(0)
+    tree = PaTree.create(device, base_lba=1_000)
+    io_service = DedicatedIoService(driver)
+    latches = BlockingLatchTable()
+    if accessor_kind == "sync":
+        accessor = SyncTreeAccessor(tree, io_service, latches)
+    elif accessor_kind == "blink":
+        accessor = BlinkTreeAccessor(tree, io_service, latches)
+    else:
+        accessor = LcbTreeAccessor(tree, io_service, latches, wal_pages=4_096)
+    ops = [insert_op(k, payload(k)) for k in range(1, 200)]
+    runner = BaselineRunner(simos, accessor, ops, n_threads=1, name=accessor_kind)
+    runner.run_to_completion()
+    if accessor_kind == "lcb":
+        accessor.materialize_delta()
+
+    assert tree.meta.height > 1
+    reopened = PaTree.open(device, base_lba=1_000)
+    assert reopened.meta.height == tree.meta.height
+    assert reopened.meta.root_page == tree.meta.root_page
+    assert device.raw_read(0) == page0
+    assert PaTree.open(device).meta.root_page == neighbor.meta.root_page
