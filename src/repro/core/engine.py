@@ -193,7 +193,7 @@ class PaTreeEngine:
     def run_to_completion(self, until_ns=None):
         """Convenience: run the simulation until the source drains."""
         self.start()
-        self.engine.run(until_ns=until_ns, until=lambda: self.worker_thread.done)
+        self.simos.run_until_done([self.worker_thread], until_ns=until_ns)
         if not self.worker_thread.done:
             raise SchedulerError(
                 "PA engine did not finish (inflight=%d, outstanding=%d)"
@@ -339,7 +339,7 @@ class PaTreeEngine:
                 overdue = gap >= max_gap_ns
                 gated = gap < min_gap_ns or (
                     self.io_history.outstanding_count == 0
-                    or not model.predicts_completion(self.io_history.feature_vector())
+                    or not model.gate(self.io_history)
                 )
                 if not overdue and gated:
                     yield Cpu(costs.idle_spin_ns, CPU_SCHED)

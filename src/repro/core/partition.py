@@ -246,8 +246,7 @@ class PartitionedPaTree:
         for engine in self.engines:
             engine.reset_source()
             workers.append(engine.start())
-        engine0 = self.engines[0].engine
-        engine0.run(until=lambda: all(worker.done for worker in workers))
+        self.simos.run_until_done(workers)
         if not all(worker.done for worker in workers):
             raise SchedulerError("partitioned run did not finish")
         for engine in self.engines:

@@ -125,7 +125,7 @@ class PolledLsmWorker:
 
     def run_to_completion(self, until_ns=None):
         self.start()
-        self.engine.run(until_ns=until_ns, until=lambda: self.worker_thread.done)
+        self.simos.run_until_done([self.worker_thread], until_ns=until_ns)
         if not self.worker_thread.done:
             raise SchedulerError(
                 "PA-LSM worker did not finish (inflight=%d)" % self.inflight

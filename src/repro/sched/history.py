@@ -10,8 +10,13 @@ and still predictive.
 
 Also maintains the rolling average completion latency used by the
 ``avg(t)`` probing baseline of Fig 10.
+
+Submit times are kept sorted per kind, so the occupied slices come
+from bisecting slice boundaries from the young end instead of a pass
+over every outstanding command.
 """
 
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
 from repro.sim.clock import usec
@@ -33,6 +38,9 @@ class IoHistory:
         self.slice_ns = self.window_ns // slices
         self.latency_window_ns = usec(latency_window_us)
         self._outstanding = {}
+        # ascending submit times of the outstanding writes / reads
+        self._write_times = []
+        self._read_times = []
         self._completions = deque()
         self._latency_sum = 0
         self.submitted_reads = 0
@@ -44,20 +52,34 @@ class IoHistory:
         return len(self._outstanding)
 
     def on_submit(self, command):
-        self._outstanding[id(command)] = (command.submit_ns, command.is_write)
+        key = id(command)
+        if key in self._outstanding:
+            self._forget(key)
+        submit_ns = command.submit_ns
+        self._outstanding[key] = (submit_ns, command.is_write)
         if command.is_write:
+            insort(self._write_times, submit_ns)
             self.submitted_writes += 1
         else:
+            insort(self._read_times, submit_ns)
             self.submitted_reads += 1
 
     def on_complete(self, command):
         """Record a completion *detected by probe* (polled-mode)."""
-        self._outstanding.pop(id(command), None)
+        self._forget(id(command))
         self.detected_completions += 1
         latency = self.clock.now - command.submit_ns
         self._completions.append((self.clock.now, latency))
         self._latency_sum += latency
         self._trim_completions()
+
+    def _forget(self, key):
+        entry = self._outstanding.pop(key, None)
+        if entry is None:
+            return
+        submit_ns, is_write = entry
+        times = self._write_times if is_write else self._read_times
+        del times[bisect_left(times, submit_ns)]
 
     def _trim_completions(self):
         horizon = self.clock.now - self.latency_window_ns
@@ -66,29 +88,52 @@ class IoHistory:
             _, latency = completions.popleft()
             self._latency_sum -= latency
 
-    def feature_vector(self, at_ns=None):
-        """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]``.
+    def occupied_slices(self, at_ns=None):
+        """``(feature index, count)`` of every non-empty feature slot,
+        in ascending feature-index order (writes, then reads).
 
         ``at_ns`` lets the scheduler ask "what will the vector look
         like at a future instant" for the CPU-yield decision (ages grow
         but no new submissions are assumed).
         """
         now = self.clock.now if at_ns is None else at_ns
-        n = self.slices
-        features = [0.0] * (2 * n)
+        occupied = []
+        self._slice_counts(self._write_times, now, 0, occupied)
+        self._slice_counts(self._read_times, now, self.slices, occupied)
+        return occupied
+
+    def _slice_counts(self, times, now, base, out):
+        """Append the occupied slices of one kind, youngest first.
+
+        A command of age ``now - s`` sits in slice ``(now - s) //
+        slice_ns`` clamped to ``[0, n - 1]``, so the commands in slice
+        ``i`` or older are exactly those with ``s <= now - i *
+        slice_ns``: one bisection per slice boundary, stopping as soon
+        as no older command remains.
+        """
+        remaining = len(times)
+        if not remaining:
+            return
         slice_ns = self.slice_ns
-        last = n - 1
-        for submit_ns, is_write in self._outstanding.values():
-            age = now - submit_ns
-            index = age // slice_ns
-            if index > last:
-                index = last
-            elif index < 0:
-                index = 0
-            if is_write:
-                features[index] += 1.0
-            else:
-                features[n + index] += 1.0
+        last = self.slices - 1
+        bound = now - slice_ns
+        index = 0
+        while index < last:
+            older = bisect_right(times, bound, 0, remaining)
+            if older < remaining:
+                out.append((base + index, remaining - older))
+                if not older:
+                    return
+                remaining = older
+            index += 1
+            bound -= slice_ns
+        out.append((base + last, remaining))
+
+    def feature_vector(self, at_ns=None):
+        """The ``2n``-dim feature list ``[w_1..w_n, r_1..r_n]``."""
+        features = [0.0] * (2 * self.slices)
+        for index, count in self.occupied_slices(at_ns):
+            features[index] = float(count)
         return features
 
     def avg_completion_latency_ns(self):

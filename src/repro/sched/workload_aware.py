@@ -60,17 +60,15 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         now = self.engine.clock.now
         if self._last_probe_ns < 0:
             self._last_probe_ns = now  # start the deadline clock
-        if self._last_probe_ns >= 0:
-            gap = now - self._last_probe_ns
-            if gap < self.min_probe_gap_ns:
-                return False
-            # Deadline fallback: a purely model-gated probe can starve
-            # detection when few, old I/Os make the prediction hover
-            # below one; bound the detection delay (and tail latency).
-            if gap >= self.max_probe_gap_ns:
-                return True
-        features = history.feature_vector()
-        return self.probe_model.predicts_completion(features)
+        gap = now - self._last_probe_ns
+        if gap < self.min_probe_gap_ns:
+            return False
+        # Deadline fallback: a purely model-gated probe can starve
+        # detection when few, old I/Os make the prediction hover below
+        # one; bound the detection delay (and tail latency).
+        if gap >= self.max_probe_gap_ns:
+            return True
+        return self.probe_model.gate(history)
 
     def note_probe(self, now_ns, completions):
         self._last_probe_ns = now_ns
@@ -88,7 +86,7 @@ class WorkloadAwareScheduling(SchedulingPolicy):
         # but saves the idle spin -- the Fig 13 trade.  With I/Os in
         # flight a short granule keeps that delay small relative to
         # device latency; with none in flight the full granule is safe.
-        if self.probe_model.predicts_completion(history.feature_vector()):
+        if self.probe_model.gate(history):
             return 0
         return min(self.yield_ns, self._inflight_granule_ns)
 

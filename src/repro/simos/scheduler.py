@@ -119,10 +119,42 @@ class SimOS:
     def spawn(self, gen, name="thread", group="default"):
         """Register a generator as a runnable simulated thread."""
         thread = SimThread(self._next_tid, name, group, gen)
+        thread.after_cpu = partial(self._after_cpu, thread)
         self._next_tid += 1
         self.threads.append(thread)
         self._make_runnable(thread)
         return thread
+
+    def run_until_done(self, threads, until_ns=None):
+        """Run the engine until every thread in ``threads`` has exited.
+
+        Counts exits through :attr:`SimThread.on_exit` and stops the
+        engine when the last one exits, instead of testing a predicate
+        after every event.  ``until_ns`` bounds the run as in
+        :meth:`Engine.run`; callers check ``thread.done`` afterwards.
+        The exit callbacks are detached on return, so a thread that
+        exits in a later run cannot stop that run.
+        """
+        live = [thread for thread in threads if not thread.done]
+        if not live:
+            return
+        remaining = len(live)
+        engine = self.engine
+
+        def exited(_thread):
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                engine.stop()
+
+        for thread in live:
+            thread.on_exit.append(exited)
+        try:
+            engine.run(until_ns=until_ns)
+        finally:
+            for thread in live:
+                if exited in thread.on_exit:
+                    thread.on_exit.remove(exited)
 
     def live_threads(self):
         return [t for t in self.threads if not t.done]
@@ -242,9 +274,16 @@ class SimOS:
         for callback in callbacks:
             callback(thread)
 
-    def _step(self, thread):
-        """Advance the generator, handling zero-cost instructions inline."""
+    def _step(self, thread, tail=False):
+        """Advance the generator, handling zero-cost instructions inline.
+
+        ``tail``: the caller is an event callback that returns right
+        after this call, so a CPU burst that the heap would dispatch
+        next anyway can run in place (:meth:`Engine.dispatch_in_place`)
+        with an empty run queue, where ``_after_cpu`` is just ``_step``.
+        """
         profile = self.profile
+        engine = self.engine
         while True:
             try:
                 instr = thread.gen.send(thread.send_value)
@@ -254,11 +293,14 @@ class SimOS:
             thread.send_value = None
 
             if type(instr) is Cpu:
-                if instr.ns == 0:
+                ns = instr.ns
+                if ns == 0:
                     continue
-                thread.account.charge(instr.ns, instr.category)
-                thread.core.busy_ns += instr.ns
-                self.engine.schedule(instr.ns, partial(self._after_cpu, thread))
+                thread.account.charge(ns, instr.category)
+                thread.core.busy_ns += ns
+                if tail and not self.run_queue and engine.dispatch_in_place(ns):
+                    continue
+                engine.schedule(ns, thread.after_cpu)
                 return
 
             if type(instr) is SemWait:
@@ -328,7 +370,7 @@ class SimOS:
                 self.on_thread_state(thread, T_RUNNABLE)
             self._release_core(thread)
             return
-        self._step(thread)
+        self._step(thread, True)
 
     def _sem_wait_cont(self, thread, sem):
         if sem.try_acquire():

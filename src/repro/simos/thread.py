@@ -102,6 +102,7 @@ class SimThread:
         "quantum_start_ns",
         "on_exit",
         "exc",
+        "after_cpu",
     )
 
     def __init__(self, tid, name, group, gen):
@@ -116,6 +117,8 @@ class SimThread:
         self.quantum_start_ns = 0
         self.on_exit = []
         self.exc = None
+        # the scheduler's end-of-burst callback, built once per thread
+        self.after_cpu = None
 
     @property
     def done(self):

@@ -72,6 +72,91 @@ class TestIoHistory:
         assert usec(5) < average < usec(60)
 
 
+def reference_feature_vector(history, outstanding, at_ns):
+    """The per-command loop the sorted-times history replaced."""
+    n = history.slices
+    features = [0.0] * (2 * n)
+    for submit_ns, is_write in outstanding:
+        index = (at_ns - submit_ns) // history.slice_ns
+        index = min(max(index, 0), n - 1)
+        features[index if is_write else n + index] += 1.0
+    return features
+
+
+class _Submitted:
+    def __init__(self, submit_ns, is_write):
+        self.submit_ns = submit_ns
+        self.is_write = is_write
+
+
+class TestSparseGating:
+    """The bisected slice counts and the sparse gate against the loop."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train_probe_model(5, i3_nvme_profile(), duration_us=100_000)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_per_command_loop(self, model, seed):
+        import random
+
+        rng = random.Random(seed)
+        engine = Engine(seed=seed)
+        history = IoHistory(engine.clock, model.window_us, model.slices)
+        outstanding = {}
+        now = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.5 or not outstanding:
+                # mostly submissions at the clock, with repeats and a
+                # few out-of-order (older) submit times; times on a 5us
+                # grid put many ages exactly on a slice boundary
+                now += rng.choice((0, 0, usec(5) * rng.randrange(1, 8)))
+                submit_ns = now - rng.choice((0, 0, 0, usec(5) * rng.randrange(60)))
+                command = _Submitted(submit_ns, rng.random() < 0.3)
+                history.on_submit(command)
+                outstanding[id(command)] = command
+            else:
+                # completions in any order
+                key = rng.choice(sorted(outstanding))
+                history.on_complete(outstanding.pop(key))
+            entries = [(c.submit_ns, c.is_write) for c in outstanding.values()]
+            # now, the future (aged, up to clamping into the last
+            # slice) and the past (negative ages clamp to slice 0)
+            for at_ns in (
+                now,
+                now + usec(5) * rng.randrange(40),
+                now + rng.randrange(usec(200)),
+                now + rng.randrange(usec(3_000)),
+                now - rng.randrange(usec(20)),
+            ):
+                expected = reference_feature_vector(history, entries, at_ns)
+                assert history.feature_vector(at_ns) == expected
+            features = reference_feature_vector(history, entries, now)
+            engine.clock.advance_to(now)
+            gate = model.predict_occupied(history.occupied_slices())
+            assert gate == model.predict(features)
+            assert model.gate(history) == model.predicts_completion(features)
+            assert history.outstanding_count == len(outstanding)
+
+    def test_clamps_old_commands_into_the_last_slice(self, model):
+        engine = Engine(seed=1)
+        history = IoHistory(engine.clock, model.window_us, model.slices)
+        # commands are tracked by identity: keep them alive
+        commands = [
+            _Submitted(submit_ns, False)
+            for submit_ns in (0, 0, 10, usec(900), usec(990))
+        ]
+        for command in commands:
+            history.on_submit(command)
+        at_ns = usec(5_000)
+        last = 2 * model.slices - 1
+        assert history.occupied_slices(at_ns) == [(last, 5)]
+        entries = [(c.submit_ns, c.is_write) for c in commands]
+        expected = reference_feature_vector(history, entries, at_ns)
+        assert history.feature_vector(at_ns) == expected
+
+
 class TestProbeModel:
     def test_training_produces_sane_model(self):
         model = train_probe_model(

@@ -470,3 +470,45 @@ def test_on_thread_state_hook_ordering_across_transitions():
     # every thread ends DONE, reported before its core re-dispatches
     assert events.count(("hog", T_DONE)) == 1
     assert events.count(("rival", T_DONE)) == 1
+
+
+def test_run_until_done_stops_at_the_last_exit():
+    engine, simos = make_os(cores=2)
+
+    def body(ns):
+        yield Cpu(ns, CPU_REAL_WORK)
+
+    def background():
+        while True:
+            yield Sleep(usec(50))
+
+    workers = [simos.spawn(body(usec(10))), simos.spawn(body(usec(30)))]
+    simos.spawn(background())
+    simos.run_until_done(workers)
+    assert all(thread.done for thread in workers)
+    assert engine.now == usec(30)
+
+
+def test_run_until_done_detaches_when_until_ns_ends_the_run_first():
+    engine, simos = make_os(cores=2)
+
+    def body(ns):
+        yield Cpu(ns, CPU_REAL_WORK)
+
+    slow = simos.spawn(body(usec(100)))
+    simos.run_until_done([slow], until_ns=usec(20))
+    assert not slow.done
+    assert engine.now == usec(20)
+    assert slow.on_exit == []
+    # the slow thread exits during this run; no stale stop may end it
+    late = []
+    engine.schedule(usec(200), lambda: late.append(engine.now))
+    engine.run()
+    assert slow.done
+    assert late == [usec(220)]
+
+
+def test_run_until_done_returns_at_once_when_all_exited():
+    engine, simos = make_os(cores=1)
+    simos.run_until_done([])
+    assert engine.now == 0
